@@ -14,7 +14,7 @@ let () =
    from its own stream, seeded [seed lxor domain-id], so a [Prob]
    failpoint is deterministic per (seed, domain) and free of data races.
    The initial domain has id 0 — [seed lxor 0 = seed] — so single-domain
-   runs reproduce the pre-parallelism sequences exactly. Arming mints a
+   runs draw the stream seeded [seed] itself. Arming mints a
    fresh key, which resets every domain's stream at once. *)
 type state = {
   trigger : trigger;

@@ -27,11 +27,11 @@ trigger ::= "nth:" N        fire exactly on the Nth hit (1-based)
 
     {b Domain safety}: counters are atomic and [prob] triggers draw
     from a per-domain stream seeded [S lxor domain-id] (the initial
-    domain has id 0, so single-domain runs reproduce the exact
-    pre-parallelism sequences). Under [-j N] the {e aggregate} hit
-    count is exact, but which hit index a given domain observes
-    depends on scheduling — so [nth]/[every] fire deterministically
-    only in single-domain runs. *)
+    domain has id 0, so single-domain runs draw the stream seeded
+    [S] itself). When several domains hit one failpoint the
+    {e aggregate} hit count is exact, but which hit index a given
+    domain observes depends on scheduling — so [nth]/[every] fire
+    deterministically only in single-domain runs. *)
 
 type trigger =
   | Nth of int  (** fire exactly on the nth hit, counting from 1 *)

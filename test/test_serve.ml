@@ -168,7 +168,6 @@ let grammar_tests =
                   {
                     P.family = Some "regression";
                     namespace = Some "tenant a";
-                    jobs = Some 4;
                     keep_going = true;
                   };
                 gs = graph "gs";
@@ -177,7 +176,27 @@ let grammar_tests =
               };
           ]
         in
-        List.iteri (fun i req -> roundtrip_request ~id:(100 + i) req) reqs);
+        List.iteri (fun i req -> roundtrip_request ~id:(100 + i) req) reqs;
+        (* Older protocol-3 clients may still send a [(jobs N)] option;
+           the assoc-based options decoder ignores it. *)
+        let frame extra =
+          Fmt.str
+            "(request (id 7) (check (options (family regression)%s \
+             keep-going) (gs (graph gs)) (gd (graph gd)) (relation \
+             (relation))))"
+            extra
+        in
+        let options s =
+          match P.request_of_string s with
+          | Ok (_, P.Check { options; _ }) -> options
+          | Ok _ -> Alcotest.fail "not a check request"
+          | Error e -> Alcotest.failf "request_of_string: %s" e
+        in
+        check Alcotest.bool "frame decodes" true
+          (options (frame "")
+          = { P.family = Some "regression"; namespace = None; keep_going = true });
+        check Alcotest.bool "(jobs 4) is ignored" true
+          (options (frame " (jobs 4)") = options (frame "")));
     Alcotest.test_case "batch and stats requests round-trip" `Quick (fun () ->
         let graph name = Sexp.list [ Sexp.atom "graph"; Sexp.atom name ] in
         let instance name =
